@@ -10,8 +10,6 @@
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <vector>
 
 using namespace odburg;
@@ -25,14 +23,6 @@ OnDemandAutomaton::OnDemandAutomaton(const Grammar &G, const DynCostTable *Dyn,
   assert(G.isFinalized() && "grammar must be finalized");
   assert((!G.hasDynCosts() || Dyn) &&
          "grammar has dynamic costs but no hook table was supplied");
-  // The dense tier rides on top of the hashed cache (it is populated from
-  // cache-resolved transitions), so the cache-ablated configuration has no
-  // tier either.
-  if (Opts.UseTransitionCache && Opts.DenseRows) {
-    DenseTransitionTier::Options DOpts;
-    DOpts.PromoteThreshold = Opts.DensePromoteThreshold;
-    Dense = std::make_unique<DenseTransitionTier>(G, DOpts);
-  }
   // Keep the safety bound reachable: leave one block of headroom below the
   // table's hard capacity so concurrent interners hit the MaxStates
   // diagnostic, never the table's capacity abort.
@@ -117,14 +107,13 @@ const State *OnDemandAutomaton::computeState(OperatorId Op,
   return S;
 }
 
-StateId OnDemandAutomaton::labelNode(ir::Node &N, L1TransitionCache *L1,
-                                     SelectionStats &Stats) {
+StateId OnDemandAutomaton::labelNode(ir::Node &N, SelectionStats &Stats) {
   ++Stats.NodesLabeled;
   OperatorId Op = N.op();
   unsigned NumChildren = N.numChildren();
 
   // Hybrid dispatch: a static-partition node over offline-known child
-  // states is one table index, no key, no tiers.
+  // states is one table index, no key, no hashing.
   if (Partition) {
     StateId Hit = offlineResolve(*Partition, Op, NumChildren, [&](unsigned P) {
       return N.child(P)->label();
@@ -162,60 +151,20 @@ StateId OnDemandAutomaton::labelNode(ir::Node &N, L1TransitionCache *L1,
   };
 
   if (ODBURG_LIKELY(Opts.UseTransitionCache)) {
+    // Fast path: one lock-free seqlock probe of the shared hashed cache.
     std::uint64_t H = TransitionCache::hashKey(Key.data(), Key.size());
-
-    // Tier 1: the worker's private L1 — no shared memory touched.
-    bool UseL1 = L1 && L1TransitionCache::cacheable(Key.size());
-    if (UseL1) {
-      ++Stats.L1Probes;
-      StateId Hit = L1->lookup(Key.data(), Key.size(), H);
-      if (ODBURG_LIKELY(Hit != InvalidState)) {
-        ++Stats.L1Hits;
-        N.setLabel(Hit);
-        return Hit;
-      }
-    }
-
-    // Tier 2: the dense row, offline-table style — shared read-only array
-    // indexing, no seqlock, no key comparison. Only operators without
-    // dynamic-cost rules are eligible (hook outcomes are part of the key
-    // and cannot be row-indexed). Key[1..] are exactly the child ids.
-    bool UseDense = Dense && NumChildren >= 1 && Dense->eligible(Op);
-    if (UseDense) {
-      ++Stats.DenseProbes;
-      StateId Hit = Dense->lookup(Op, NumChildren, Key.data() + 1);
-      if (ODBURG_LIKELY(Hit != InvalidState)) {
-        ++Stats.DenseHits;
-        if (UseL1)
-          L1->insert(Key.data(), Key.size(), H, Hit);
-        N.setLabel(Hit);
-        return Hit;
-      }
-    }
-
-    // Tier 3: one lock-free seqlock probe of the shared hashed cache.
     ++Stats.CacheProbes;
     StateId Hit = Cache.lookupHashed(Key.data(), Key.size(), H);
     if (ODBURG_LIKELY(Hit != InvalidState)) {
       ++Stats.CacheHits;
-      if (UseDense)
-        Dense->noteResolved(Op, NumChildren, Key.data() + 1, Hit,
-                            States.size());
-      if (UseL1)
-        L1->insert(Key.data(), Key.size(), H, Hit);
       N.setLabel(Hit);
       return Hit;
     }
 
-    // Slow path: compute, hash-cons, memoize at every level.
+    // Slow path: compute, hash-cons, memoize.
     const State *S =
         computeState(Op, FetchChildStates(), DynOutcomes.data(), Stats);
     Cache.insertHashed(Key.data(), Key.size(), H, S->Id);
-    if (UseDense)
-      Dense->noteResolved(Op, NumChildren, Key.data() + 1, S->Id,
-                          States.size());
-    if (UseL1)
-      L1->insert(Key.data(), Key.size(), H, S->Id);
     N.setLabel(S->Id);
     return S->Id;
   }
@@ -229,236 +178,8 @@ StateId OnDemandAutomaton::labelNode(ir::Node &N, L1TransitionCache *L1,
 
 void OnDemandAutomaton::labelFunction(ir::IRFunction &F,
                                       SelectionStats *Stats) {
-  labelFunction(F, nullptr, Stats);
-}
-
-void LabelBatch::build(const ir::IRFunction &F) {
-  A.reset();
-  N = F.size();
-  const std::vector<ir::Node *> &Fn = F.nodes();
-
-  OperatorId *Op = A.allocateArray<OperatorId>(N);
-  std::uint16_t *NC = A.allocateArray<std::uint16_t>(N);
-  ir::Node **NP = A.allocateArray<ir::Node *>(N);
-  std::uint32_t *FC = A.allocateArray<std::uint32_t>(N + 1);
-  StateId *Lb = A.allocateArray<StateId>(N);
-
-  std::size_t TotalChildren = 0;
-  for (unsigned I = 0; I < N; ++I)
-    TotalChildren += Fn[I]->numChildren();
-  std::uint32_t *CI = A.allocateArray<std::uint32_t>(TotalChildren);
-
-  std::uint32_t At = 0;
-  for (unsigned I = 0; I < N; ++I) {
-    const ir::Node *Node = Fn[I];
-    assert(Node->id() == I && "node ids must equal topological positions");
-    Op[I] = Node->op();
-    NC[I] = static_cast<std::uint16_t>(Node->numChildren());
-    NP[I] = Fn[I];
-    FC[I] = At;
-    for (ir::Node *C : Node->children())
-      CI[At++] = C->id();
-  }
-  FC[N] = At;
-
-  Ops = Op;
-  NumCh = NC;
-  Nodes = NP;
-  FirstChild = FC;
-  ChildIds = CI;
-  Labels = Lb;
-}
-
-void OnDemandAutomaton::labelNodes(LabelBatch &B, L1TransitionCache *L1,
-                                   bool UseDenseTier, SelectionStats &Stats) {
-  const unsigned N = B.N;
-  Stats.NodesLabeled += N;
-  DenseTransitionTier *DT = UseDenseTier ? Dense.get() : nullptr;
-  const bool Cached = Opts.UseTransitionCache;
-  const OfflinePartitionView *PV = Partition;
-
-  SmallVector<std::uint32_t, 20> Key;
-  SmallVector<Cost, 16> DynOutcomes;
-  SmallVector<const State *, 4> ChildStates;
-
-  for (unsigned I = 0; I < N; ++I) {
-    OperatorId Op = B.Ops[I];
-    unsigned NumChildren = B.NumCh[I];
-    const std::uint32_t *Ch = B.ChildIds + B.FirstChild[I];
-
-    // Tier 0 (hybrid only): the offline-partition tables. A static-
-    // partition node over offline-known child states resolves by one
-    // direct table index — no key construction, no hashing, no tier
-    // probes; the burg-style per-node cost on the grammar's static
-    // majority.
-    StateId Result = InvalidState;
-    if (PV) {
-      Result = offlineResolve(*PV, Op, NumChildren,
-                              [&](unsigned P) { return B.Labels[Ch[P]]; });
-      if (ODBURG_LIKELY(Result != InvalidState))
-        ++Stats.OfflineHits;
-    }
-
-    if (Result != InvalidState) {
-      // Fall through to the store + prefetch tail below.
-    } else if (ODBURG_LIKELY(Cached)) {
-      const auto &DynRules = G.dynRulesFor(Op);
-      unsigned NumDyn = DynRules.size();
-
-      Key.clear();
-      Key.push_back(TransitionCache::packHeader(Op, NumChildren, NumDyn));
-      // Child states are contiguous indexed loads — the SoA win: no node
-      // pointer is touched on the warm path.
-      for (unsigned C = 0; C < NumChildren; ++C)
-        Key.push_back(B.Labels[Ch[C]]);
-      DynOutcomes.clear();
-      for (unsigned J = 0; J < NumDyn; ++J) {
-        ++Stats.DynCostEvals;
-        DynOutcomes.push_back(
-            Dyn->evaluate(G.normRule(DynRules[J]).DynHook, *B.Nodes[I]));
-        Key.push_back(DynOutcomes.back().raw());
-      }
-
-      std::uint64_t H = TransitionCache::hashKey(Key.data(), Key.size());
-      bool UseL1 = L1 && L1TransitionCache::cacheable(Key.size());
-      bool UseDense = DT && NumChildren >= 1 && DT->eligible(Op);
-      Result = InvalidState;
-
-      if (UseL1) {
-        ++Stats.L1Probes;
-        Result = L1->lookup(Key.data(), Key.size(), H);
-        if (ODBURG_LIKELY(Result != InvalidState))
-          ++Stats.L1Hits;
-      }
-      if (Result == InvalidState && UseDense) {
-        ++Stats.DenseProbes;
-        Result = DT->lookup(Op, NumChildren, Key.data() + 1);
-        if (ODBURG_LIKELY(Result != InvalidState)) {
-          ++Stats.DenseHits;
-          if (UseL1)
-            L1->insert(Key.data(), Key.size(), H, Result);
-        }
-      }
-      if (Result == InvalidState) {
-        ++Stats.CacheProbes;
-        Result = Cache.lookupHashed(Key.data(), Key.size(), H);
-        if (ODBURG_LIKELY(Result != InvalidState)) {
-          ++Stats.CacheHits;
-        } else {
-          ChildStates.clear();
-          for (unsigned C = 0; C < NumChildren; ++C)
-            ChildStates.push_back(States.byId(Key[1 + C]));
-          const State *S = computeState(Op, ChildStates.data(),
-                                        DynOutcomes.data(), Stats);
-          Cache.insertHashed(Key.data(), Key.size(), H, S->Id);
-          Result = S->Id;
-        }
-        if (UseDense)
-          DT->noteResolved(Op, NumChildren, Key.data() + 1, Result,
-                           States.size());
-        if (UseL1)
-          L1->insert(Key.data(), Key.size(), H, Result);
-      }
-    } else {
-      // Cache-ablated path: recompute the state at every node.
-      const auto &DynRules = G.dynRulesFor(Op);
-      DynOutcomes.clear();
-      for (RuleId DR : DynRules) {
-        ++Stats.DynCostEvals;
-        DynOutcomes.push_back(
-            Dyn->evaluate(G.normRule(DR).DynHook, *B.Nodes[I]));
-      }
-      ChildStates.clear();
-      for (unsigned C = 0; C < NumChildren; ++C)
-        ChildStates.push_back(States.byId(B.Labels[Ch[C]]));
-      const State *S =
-          computeState(Op, ChildStates.data(), DynOutcomes.data(), Stats);
-      Result = S->Id;
-    }
-
-    B.Labels[I] = Result;
-    B.Nodes[I]->setLabel(Result);
-
-    // Prefetch node I+1's dense-row entry while this iteration's stores
-    // drain. Topological order makes this exact, not a guess: every
-    // child of node I+1 has id <= I, so its child state ids are already
-    // final in B.Labels and the entry address the next probe will chase
-    // is computable right now.
-    if (DT && I + 1 < N) {
-      unsigned NI = I + 1;
-      OperatorId NOp = B.Ops[NI];
-      unsigned NNC = B.NumCh[NI];
-      if (NNC >= 1 && NNC <= 2 && DT->eligible(NOp)) {
-        const std::uint32_t *NCh = B.ChildIds + B.FirstChild[NI];
-        std::uint32_t NextIds[2] = {B.Labels[NCh[0]],
-                                    NNC == 2 ? B.Labels[NCh[1]] : 0};
-        DT->prefetch(NOp, NNC, NextIds);
-      }
-    }
-  }
-}
-
-void OnDemandAutomaton::labelFunctionBatched(ir::IRFunction &F,
-                                             L1TransitionCache *L1,
-                                             LabelBatch &Batch, bool UseDense,
-                                             SelectionStats *Stats) {
-  if (L1)
-    L1->bindTo(Generation);
-  Batch.build(F);
-  SelectionStats Local;
-  labelNodes(Batch, L1, UseDense, Stats ? *Stats : Local);
-}
-
-std::uint64_t OnDemandAutomaton::nextGeneration() {
-  static std::atomic<std::uint64_t> Counter{1};
-  return Counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-void OnDemandAutomaton::labelFunction(ir::IRFunction &F, L1TransitionCache *L1,
-                                      SelectionStats *Stats) {
-  if (L1)
-    L1->bindTo(Generation);
   SelectionStats Local;
   SelectionStats &S = Stats ? *Stats : Local;
   for (ir::Node *N : F.nodes())
-    labelNode(*N, L1, S);
-}
-
-void OnDemandAutomaton::labelFunctions(std::span<ir::IRFunction *const> Fns,
-                                       unsigned Threads,
-                                       SelectionStats *Stats) {
-  if (Threads == 0)
-    Threads = std::max(1u, std::thread::hardware_concurrency());
-  Threads = static_cast<unsigned>(
-      std::min<std::size_t>(Threads, Fns.size()));
-  if (Threads <= 1) {
-    for (ir::IRFunction *F : Fns)
-      labelFunction(*F, Stats);
-    return;
-  }
-
-  // Per-worker counters, cache-line padded so hot increments do not
-  // false-share; merged once at the end.
-  struct alignas(64) PaddedStats {
-    SelectionStats S;
-  };
-  std::vector<PaddedStats> PerWorker(Threads);
-  std::atomic<std::size_t> Next{0};
-  auto Work = [&](unsigned W) {
-    std::size_t I;
-    while ((I = Next.fetch_add(1, std::memory_order_relaxed)) < Fns.size())
-      labelFunction(*Fns[I], &PerWorker[W].S);
-  };
-
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads - 1);
-  for (unsigned W = 1; W < Threads; ++W)
-    Workers.emplace_back(Work, W);
-  Work(0);
-  for (std::thread &T : Workers)
-    T.join();
-
-  if (Stats)
-    for (const PaddedStats &P : PerWorker)
-      *Stats += P.S;
+    labelNode(*N, S);
 }

@@ -31,9 +31,9 @@
 ///     the budget and drops the backend state of least-recently-used
 ///     unpinned entries (counted in stats; the entry itself stays and
 ///     cold-starts on re-access). When everything over budget is pinned,
-///     it falls back to LabelerBackend::setMemoryPressure — degrade, not
-///     drop. The fault::Site::RegistryEvict chaos site forces an eviction
-///     pass regardless of budget.
+///     it reports memory pressure (RegistryStats::MemoryPressure) rather
+///     than drop live state. The fault::Site::RegistryEvict chaos site
+///     forces an eviction pass regardless of budget.
 ///   - *Hot swap.* Installing a new version under an existing name bumps
 ///     the entry epoch: new acquires see the new entry immediately, while
 ///     leases on the old epoch keep its backends alive until the last one
@@ -43,7 +43,7 @@
 ///     snapshot at creation (a failed or fault-injected load degrades to
 ///     a cold start, counted as a snapshot miss); dumpWarmSnapshots()
 ///     writes them back, so a drained-and-restarted server serves its
-///     first batch out of the warm tiers.
+///     first batch out of the warm transition cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -262,7 +262,6 @@ private:
   Expected<std::shared_ptr<GrammarEntry>> buildFromSource(std::string_view Name,
                                                           std::uint64_t Epoch);
   std::uint64_t tick() { return Clock.fetch_add(1, std::memory_order_relaxed); }
-  void applyPressure(bool On);
 
   Options Opts;
   mutable std::mutex M;

@@ -81,45 +81,30 @@ TEST_P(BackendDifferential, AllBackendsEmitIdenticalCode) {
   std::vector<std::vector<std::tuple<std::uint32_t, RuleId, NonterminalId>>>
       RefSel;
   bool HaveRef = false;
-  // The on-demand backend runs three times: with its dense-row tier (an
-  // aggressive promotion threshold so rows really serve), without it, and
-  // under the adaptive TierController with a tiny observation window (so
-  // it reconfigures the warm path mid-corpus). Tiers — and the controller
-  // reshaping them — are pure accelerators and must never move a single
-  // byte of assembly.
+  // The on-demand backend runs twice: with its transition cache and with
+  // the cache ablated (every node's state recomputed) — memoization is a
+  // pure accelerator and must never move a single byte of assembly. On a
+  // fixed-cost grammar the hybrid's partition covers every operator, so
+  // it exercises the degenerate all-offline dispatch.
   struct Config {
     BackendKind Kind;
-    bool DenseRows;
-    unsigned PromoteThreshold;
-    bool Adaptive;
+    bool UseTransitionCache;
   };
-  // The hybrid runs twice: with the dense-row tier and without. On a
-  // fixed-cost grammar its partition covers every operator, so both
-  // configurations exercise the degenerate all-offline dispatch.
-  for (const Config &C : {Config{BackendKind::DP, false, 0, false},
-                          Config{BackendKind::Offline, false, 0, false},
-                          Config{BackendKind::OnDemand, true, 1, false},
-                          Config{BackendKind::OnDemand, false, 0, false},
-                          Config{BackendKind::OnDemand, true, 0, true},
-                          Config{BackendKind::Hybrid, true, 1, false},
-                          Config{BackendKind::Hybrid, false, 0, false}}) {
+  for (const Config &C : {Config{BackendKind::DP, true},
+                          Config{BackendKind::Offline, true},
+                          Config{BackendKind::OnDemand, true},
+                          Config{BackendKind::OnDemand, false},
+                          Config{BackendKind::Hybrid, true}}) {
     BackendKind Kind = C.Kind;
     CompileSession::Options Opts;
     Opts.Backend = Kind;
-    Opts.BackendOpts.Automaton.DenseRows = C.DenseRows;
-    if (C.PromoteThreshold)
-      Opts.BackendOpts.Automaton.DensePromoteThreshold = C.PromoteThreshold;
-    Opts.BackendOpts.Adaptive = C.Adaptive;
-    if (C.Adaptive) {
-      Opts.BackendOpts.AdaptiveOpts.WindowNodes = 512;
-      Opts.BackendOpts.AdaptiveOpts.RecoveryWindows = 1;
-    }
+    Opts.BackendOpts.Automaton.UseTransitionCache = C.UseTransitionCache;
     auto Session = CompileSession::create(T->Fixed, nullptr, Opts);
     ASSERT_TRUE(static_cast<bool>(Session))
         << backendName(Kind) << ": " << Session.message();
-    // Two thread counts per backend: the equivalence must hold serial and
-    // concurrent alike.
-    for (unsigned Threads : {1u, 4u}) {
+    // Every thread count: the equivalence must hold serial and concurrent
+    // alike.
+    for (unsigned Threads : {1u, 2u, 4u, 8u}) {
       std::vector<CompileResult> Results =
           (*Session)->compileFunctions(Ptrs, Threads);
       for (const CompileResult &R : Results)

@@ -397,9 +397,9 @@ bool parseSeqField(const std::string &Line, unsigned &Seq) {
   return Any;
 }
 
-/// Whether the one-line STATS JSON carries \p Key at all. The tier
-/// telemetry fields are doubles/booleans, so presence is the contract the
-/// load generator can check without a JSON parser.
+/// Whether the one-line STATS JSON carries \p Key at all. Rates and
+/// percentiles are doubles, so presence is the contract the load
+/// generator can check without a JSON parser.
 bool statsHasField(const std::string &Json, const std::string &Key) {
   return Json.find("\"" + Key + "\":") != std::string::npos;
 }
@@ -577,15 +577,14 @@ ConnOutcome runAttempt(const LoadOptions &Opts, const ConnPlan &Plan,
       Out.Detail = "dead STATS counters: " + Line;
       return Out;
     }
-    // The warm-path tier telemetry must always be present — per-tier hit
-    // rates plus the (adaptive or static) controller decisions.
+    // The lane's counters, latency percentiles and hit rates must always
+    // be present.
     for (const char *Key :
-         {"l1HitRate", "denseHitRate", "cacheHitRate", "adaptive",
-          "tierL1On", "tierL1Ways", "tierDenseOn", "tierPromoteThreshold",
-          "tierWindows", "tierReconfigs"})
+         {"submitted", "delivered", "shedSubmits", "deadlineExpired", "p50Us",
+          "p99Us", "cacheHitRate", "offlineHitRate"})
       if (!statsHasField(Line, Key)) {
         Out.Retryable = false;
-        Out.Detail = std::string("STATS missing tier field '") + Key +
+        Out.Detail = std::string("STATS missing field '") + Key +
                      "': " + Line;
         return Out;
       }

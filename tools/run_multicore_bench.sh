@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Replays every multicore-sensitive bench (p1 parallel scaling, p2
-# pipeline, p4 dense tier, p5 service, p7 adaptive tiers) in one command
-# on the current machine and collects their --json reports in one
-# directory, each prefixed with the host's core count so reports from
-# different machines can sit side by side. Re-run on a many-core host to
+# Replays every multicore-sensitive bench (p2 pipeline, p5 service) in
+# one command on the current machine and collects their --json reports
+# in one directory, each prefixed with the host's core count so reports
+# from different machines can sit side by side. Re-run on a many-core host to
 # refresh the multicore story that the single-core CI container cannot
 # measure (see ROADMAP.md).
 #
@@ -11,7 +10,7 @@
 #
 # Builds into build-bench/ (Release, -O2) unless ODBURG_BENCH_BUILD_DIR
 # points at an existing configured build. Compare two result sets with:
-#   tools/bench_compare.py old/NN-core_BENCH_p1.json new/NN-core_BENCH_p1.json
+#   tools/bench_compare.py old/NN-core_BENCH_p2.json new/NN-core_BENCH_p2.json
 
 set -euo pipefail
 
@@ -35,8 +34,7 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
     -DCMAKE_CXX_FLAGS="-O2 -DNDEBUG" >/dev/null
 fi
 
-BENCHES=(bench_p1_parallel bench_p2_pipeline bench_p4_dense \
-         bench_p5_service bench_p7_adaptive)
+BENCHES=(bench_p2_pipeline bench_p5_service)
 cmake --build "$BUILD" -j "$(nproc)" --target "${BENCHES[@]}"
 
 CORES=$(nproc)
